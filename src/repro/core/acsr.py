@@ -133,12 +133,7 @@ class ACSRFormat(SpMVFormat):
         return self.csr.matvec(x)
 
     def multiply_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=self.precision.numpy_dtype)
-        if X.ndim != 2 or X.shape[0] != self.n_cols:
-            raise ValueError(f"X must have shape ({self.n_cols}, k)")
-        if X.shape[1] < 1:
-            raise ValueError("X must have at least one column")
-        return self.csr.matmat(X)
+        return self.csr.matmat(self._vector_block(X))
 
     def multiply_via_plan(self, x: np.ndarray, device: DeviceSpec = GTX_TITAN) -> np.ndarray:
         """SpMV composed from the actual bin + DP kernels (slower, exact)."""
@@ -218,12 +213,8 @@ class ACSRFormat(SpMVFormat):
         """
         from ..formats.base import SpMMResult
 
-        X = np.asarray(X, dtype=self.precision.numpy_dtype)
-        if X.ndim != 2 or X.shape[0] != self.n_cols:
-            raise ValueError(f"X must have shape ({self.n_cols}, k)")
+        X = self._vector_block(X)
         k = int(X.shape[1])
-        if k < 1:
-            raise ValueError("X must have at least one column")
         plan = self.plan_for(device)
         Y = np.stack(
             [execute(self.csr, plan, X[:, j]) for j in range(k)], axis=1

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from ..gpu.device import DeviceSpec, Precision
 from ..gpu.kernel import KernelWork
 from ..gpu.simulator import KernelTiming, simulate_sequence
 from ..gpu.transfer import DEFAULT_LINK, PCIeLink
+from ..kernels import coo_segmented
 
 
 class FormatCapacityError(RuntimeError):
@@ -243,22 +245,14 @@ class SpMVFormat(abc.ABC):
         )
 
     # -- batched (SpMM) entry points --------------------------------------
-    def _spmm_triplets(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """``(rows, cols, vals)`` when :meth:`multiply` is the standard
-        segmented-reduction triplet kernel, else ``None``.
-
-        Formats whose single-vector product is exactly
-        :func:`repro.kernels.coo_segmented.execute` over stored triplets
-        (COO, TCOO, BCCOO, BRC, SIC) return them here, which routes
-        :meth:`multiply_many` through the batched array-level SpMM
-        instead of a Python column loop.  Formats with any other
-        ``multiply`` must leave this ``None`` (or override
-        :meth:`multiply_many` themselves) to keep the bitwise
-        column-equivalence contract.
-        """
-        return None
+    def _vector_block(self, X: np.ndarray) -> np.ndarray:
+        """``X`` as a ``(n_cols, k >= 1)`` block of the format's dtype."""
+        X = np.asarray(X, dtype=self.precision.numpy_dtype)
+        if X.ndim != 2 or X.shape[0] != self.n_cols:
+            raise ValueError(f"X must have shape ({self.n_cols}, k)")
+        if X.shape[1] < 1:
+            raise ValueError("X must have at least one column")
+        return X
 
     def multiply_many(self, X: np.ndarray) -> np.ndarray:
         """Exact ``Y = A @ X`` for a block of vectors.
@@ -266,24 +260,10 @@ class SpMVFormat(abc.ABC):
         ``X`` has shape ``(n_cols, k)``; the result has ``(n_rows, k)``.
         Every column of the result is *bitwise identical* to the
         corresponding single-vector :meth:`multiply` — formats may
-        vectorise (via :meth:`_spmm_triplets` or an override) only if
-        they preserve that equivalence.  Formats without a declared
-        array-level path fall back to looping :meth:`multiply` over
-        columns.
+        vectorise (by overriding this) only if they preserve that
+        equivalence.  The default loops :meth:`multiply` over columns.
         """
-        X = np.asarray(X, dtype=self.precision.numpy_dtype)
-        if X.ndim != 2 or X.shape[0] != self.n_cols:
-            raise ValueError(f"X must have shape ({self.n_cols}, k)")
-        if X.shape[1] < 1:
-            raise ValueError("X must have at least one column")
-        triplets = self._spmm_triplets()
-        if triplets is not None:
-            from ..kernels import coo_segmented
-
-            rows, cols, vals = triplets
-            return coo_segmented.execute_many(
-                rows, cols, vals, X, n_rows=self.n_rows
-            )
+        X = self._vector_block(X)
         return np.stack(
             [self.multiply(X[:, j]) for j in range(X.shape[1])], axis=1
         )
@@ -305,12 +285,8 @@ class SpMVFormat(abc.ABC):
         time is ONE SpMM over all ``X.shape[1]`` columns, which is what a
         batched server would launch instead of ``k`` SpMVs.
         """
-        X = np.asarray(X, dtype=self.precision.numpy_dtype)
-        if X.ndim != 2 or X.shape[0] != self.n_cols:
-            raise ValueError(f"X must have shape ({self.n_cols}, k)")
+        X = self._vector_block(X)
         k = X.shape[1]
-        if k < 1:
-            raise ValueError("X must have at least one column")
         Y = self.multiply_many(X)
         works = self.cached_kernel_works(device, k=k)
         seq = simulate_sequence(device, works)
@@ -318,6 +294,53 @@ class SpMVFormat(abc.ABC):
         return SpMMResult(
             Y=Y, time_s=seq.time_s, timings=seq.timings, flops=flops, k=k
         )
+
+
+class TripletFormat(SpMVFormat):
+    """A format that multiplies with stored ``(rows, cols, vals)`` triplets.
+
+    COO, BRC, SIC, TCOO and BCCOO differ in device layout and cost model,
+    but each keeps its non-zeros as exact triplets and runs them through
+    the one segmented-reduction kernel,
+    :mod:`repro.kernels.coo_segmented`.  Subclasses set ``rows``,
+    ``cols``, ``vals`` and ``_shape`` in their constructor.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    _shape: tuple[int, int]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self._shape
+
+    @property
+    def nnz(self) -> int:
+        return int(self.vals.shape[0])
+
+    @property
+    def precision(self) -> Precision:
+        return (
+            Precision.SINGLE
+            if self.vals.dtype == np.float32
+            else Precision.DOUBLE
+        )
+
+    @cached_property
+    def _triplets(self) -> coo_segmented.Triplets:
+        """The kernel's checked, index-widened triplets, built on the
+        first product so that building a format (``from_csr``, the cost
+        model) never pays for numerics it may not run."""
+        return coo_segmented.prepare(
+            self.rows, self.cols, self.vals, self._shape
+        )
+
+    def multiply(self, x: np.ndarray) -> np.ndarray:
+        return coo_segmented.apply(self._triplets, x)
+
+    def multiply_many(self, X: np.ndarray) -> np.ndarray:
+        return coo_segmented.apply(self._triplets, self._vector_block(X))
 
 
 def transfer_report_s(

@@ -22,7 +22,7 @@ from ..gpu.kernel import KernelWork
 from ..gpu.simulator import simulate_kernel
 from ..util import count_unique
 from ..kernels import bccoo_kernel
-from .base import PreprocessReport, SpMVFormat, transfer_report_s
+from .base import PreprocessReport, TripletFormat, transfer_report_s
 from .csr import CSRMatrix
 
 #: Block geometry candidates (height x width).
@@ -88,7 +88,7 @@ def _shape_penalty(cfg: BCCOOConfig) -> float:
     return penalty
 
 
-class BCCOOFormat(SpMVFormat):
+class BCCOOFormat(TripletFormat):
     """Auto-tuned blocked compressed COO."""
 
     name = "bccoo"
@@ -221,37 +221,6 @@ class BCCOOFormat(SpMVFormat):
             profile=csr.gather_profile,
             n_trials=len(space),
         )
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._shape
-
-    @property
-    def nnz(self) -> int:
-        return int(self.vals.shape[0])
-
-    @property
-    def precision(self) -> Precision:
-        return (
-            Precision.SINGLE
-            if self.vals.dtype == np.float32
-            else Precision.DOUBLE
-        )
-
-    def multiply(self, x: np.ndarray) -> np.ndarray:
-        n_rows = self._shape[0]
-        y = np.zeros(n_rows, dtype=x.dtype)
-        if self.nnz:
-            prod = self.vals.astype(np.float64, copy=False) * x.astype(
-                np.float64, copy=False
-            )[self.cols]
-            y += np.bincount(
-                self.rows, weights=prod, minlength=n_rows
-            ).astype(y.dtype, copy=False)
-        return y
-
-    def _spmm_triplets(self):
-        return self.rows, self.cols, self.vals
 
     def kernel_works(self, device: DeviceSpec, k: int = 1) -> list[KernelWork]:
         return [

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..gpu.device import DEFAULT_HOST, DeviceSpec, INDEX_BYTES, Precision
+from ..gpu.device import DEFAULT_HOST, DeviceSpec, INDEX_BYTES
 from ..gpu.kernel import KernelWork
 from ..kernels import coo_segmented
-from .base import PreprocessReport, SpMVFormat, transfer_report_s
+from .base import PreprocessReport, TripletFormat, transfer_report_s
 from .csr import CSRMatrix
 
 
-class COOFormat(SpMVFormat):
+class COOFormat(TripletFormat):
     """Row/col/value triplets, row-major sorted (CUSP's COO)."""
 
     name = "coo"
@@ -63,30 +63,6 @@ class COOFormat(SpMVFormat):
             preprocess=report,
             profile=csr.gather_profile,
         )
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._shape
-
-    @property
-    def nnz(self) -> int:
-        return int(self.vals.shape[0])
-
-    @property
-    def precision(self) -> Precision:
-        return (
-            Precision.SINGLE
-            if self.vals.dtype == np.float32
-            else Precision.DOUBLE
-        )
-
-    def multiply(self, x: np.ndarray) -> np.ndarray:
-        return coo_segmented.execute(
-            self.rows, self.cols, self.vals, x, n_rows=self.n_rows
-        )
-
-    def _spmm_triplets(self):
-        return self.rows, self.cols, self.vals
 
     def kernel_works(self, device: DeviceSpec, k: int = 1) -> list[KernelWork]:
         rows_spanned = self._rows_spanned

@@ -76,11 +76,7 @@ class CSRFormat(SpMVFormat):
 
     def multiply_many(self, X: np.ndarray) -> np.ndarray:
         """Vectorised ``A @ X`` whose columns match :meth:`multiply` bitwise."""
-        X = np.asarray(X, dtype=self.precision.numpy_dtype)
-        if X.ndim != 2 or X.shape[0] != self.n_cols:
-            raise ValueError(f"X must have shape ({self.n_cols}, k)")
-        if X.shape[1] < 1:
-            raise ValueError("X must have at least one column")
+        X = self._vector_block(X)
         return self.csr.matmat(X)
 
     def kernel_works(self, device: DeviceSpec, k: int = 1) -> list[KernelWork]:

@@ -117,12 +117,8 @@ class DIAFormat(SpMVFormat):
         # over the vector block: each column sees the identical sequence
         # of elementwise multiply-adds, so columns stay bitwise equal to
         # the single-vector product.
-        X = np.asarray(X, dtype=self.precision.numpy_dtype)
+        X = self._vector_block(X)
         n_rows, n_cols = self._shape
-        if X.ndim != 2 or X.shape[0] != n_cols:
-            raise ValueError(f"X must have shape ({n_cols}, k)")
-        if X.shape[1] < 1:
-            raise ValueError("X must have at least one column")
         Xf = X.astype(np.float64)
         Y = np.zeros((n_rows, X.shape[1]), dtype=np.float64)
         rows = np.arange(n_rows, dtype=np.int64)

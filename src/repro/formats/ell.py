@@ -136,11 +136,7 @@ class ELLFormat(SpMVFormat):
         return ell_kernel.execute(self.cols, self.vals, x)
 
     def multiply_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=self.precision.numpy_dtype)
-        if X.ndim != 2 or X.shape[0] != self.n_cols:
-            raise ValueError(f"X must have shape ({self.n_cols}, k)")
-        if X.shape[1] < 1:
-            raise ValueError("X must have at least one column")
+        X = self._vector_block(X)
         return ell_kernel.execute_many(self.cols, self.vals, X)
 
     def kernel_works(self, device: DeviceSpec, k: int = 1) -> list[KernelWork]:

@@ -11,11 +11,13 @@ the COO part.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from ..gpu.device import DEFAULT_HOST, DeviceSpec, INDEX_BYTES, Precision
 from ..gpu.kernel import KernelWork
-from ..kernels import hyb_kernel
+from ..kernels import coo_segmented, hyb_kernel
 from .base import (
     FormatCapacityError,
     PreprocessReport,
@@ -172,6 +174,13 @@ class HYBFormat(SpMVFormat):
             else Precision.DOUBLE
         )
 
+    @cached_property
+    def _coo_triplets(self) -> coo_segmented.Triplets:
+        """The overflow's kernel triplets, built on the first product."""
+        return coo_segmented.prepare(
+            self.coo_rows, self.coo_cols, self.coo_vals, self.shape
+        )
+
     def multiply(self, x: np.ndarray) -> np.ndarray:
         return hyb_kernel.execute(
             self.ell_cols,
@@ -180,21 +189,18 @@ class HYBFormat(SpMVFormat):
             self.coo_cols,
             self.coo_vals,
             x,
+            coo=self._coo_triplets,
         )
 
     def multiply_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=self.precision.numpy_dtype)
-        if X.ndim != 2 or X.shape[0] != self.n_cols:
-            raise ValueError(f"X must have shape ({self.n_cols}, k)")
-        if X.shape[1] < 1:
-            raise ValueError("X must have at least one column")
         return hyb_kernel.execute_many(
             self.ell_cols,
             self.ell_vals,
             self.coo_rows,
             self.coo_cols,
             self.coo_vals,
-            X,
+            self._vector_block(X),
+            coo=self._coo_triplets,
         )
 
     def kernel_works(self, device: DeviceSpec, k: int = 1) -> list[KernelWork]:

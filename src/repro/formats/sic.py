@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..gpu.device import DEFAULT_HOST, DeviceSpec, INDEX_BYTES, Precision
+from ..gpu.device import DEFAULT_HOST, DeviceSpec, INDEX_BYTES
 from ..gpu.kernel import KernelWork, merge_concurrent
 from ..kernels import brc_kernel
-from .base import PreprocessReport, SpMVFormat, transfer_report_s
+from .base import PreprocessReport, TripletFormat, transfer_report_s
 from .brc import split_row_lengths
 from .csr import CSRMatrix
 
@@ -54,7 +54,7 @@ def classify_segments(lengths: np.ndarray) -> np.ndarray:
     return seg
 
 
-class SICFormat(SpMVFormat):
+class SICFormat(TripletFormat):
     """Three length segments, each interleaved into ELL-style blocks."""
 
     name = "sic"
@@ -167,37 +167,6 @@ class SICFormat(SpMVFormat):
             preprocess=report,
             profile=csr.gather_profile,
         )
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._shape
-
-    @property
-    def nnz(self) -> int:
-        return int(self.vals.shape[0])
-
-    @property
-    def precision(self) -> Precision:
-        return (
-            Precision.SINGLE
-            if self.vals.dtype == np.float32
-            else Precision.DOUBLE
-        )
-
-    def multiply(self, x: np.ndarray) -> np.ndarray:
-        n_rows = self._shape[0]
-        y = np.zeros(n_rows, dtype=x.dtype)
-        if self.nnz:
-            prod = self.vals.astype(np.float64, copy=False) * x.astype(
-                np.float64, copy=False
-            )[self.cols]
-            y += np.bincount(
-                self.rows, weights=prod, minlength=n_rows
-            ).astype(y.dtype, copy=False)
-        return y
-
-    def _spmm_triplets(self):
-        return self.rows, self.cols, self.vals
 
     def kernel_works(self, device: DeviceSpec, k: int = 1) -> list[KernelWork]:
         works = brc_kernel.block_works(

@@ -17,14 +17,14 @@ from ..gpu.device import DEFAULT_HOST, DeviceSpec, GTX_TITAN, INDEX_BYTES, Preci
 from ..gpu.kernel import KernelWork
 from ..gpu.simulator import simulate_kernel
 from ..kernels import tcoo_kernel
-from .base import PreprocessReport, SpMVFormat, transfer_report_s
+from .base import PreprocessReport, TripletFormat, transfer_report_s
 from .csr import CSRMatrix
 
 #: Exhaustively searched tile counts.
 TILE_CANDIDATES = tuple(range(1, 129))
 
 
-class TCOOFormat(SpMVFormat):
+class TCOOFormat(TripletFormat):
     """Column-tiled COO at the searched-optimal tile count."""
 
     name = "tcoo"
@@ -124,37 +124,6 @@ class TCOOFormat(SpMVFormat):
             profile=csr.gather_profile,
             tile_order=order,
         )
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._shape
-
-    @property
-    def nnz(self) -> int:
-        return int(self.vals.shape[0])
-
-    @property
-    def precision(self) -> Precision:
-        return (
-            Precision.SINGLE
-            if self.vals.dtype == np.float32
-            else Precision.DOUBLE
-        )
-
-    def multiply(self, x: np.ndarray) -> np.ndarray:
-        n_rows = self._shape[0]
-        y = np.zeros(n_rows, dtype=x.dtype)
-        if self.nnz:
-            prod = self.vals.astype(np.float64, copy=False) * x.astype(
-                np.float64, copy=False
-            )[self.cols]
-            y += np.bincount(
-                self.rows, weights=prod, minlength=n_rows
-            ).astype(y.dtype, copy=False)
-        return y
-
-    def _spmm_triplets(self):
-        return self.rows, self.cols, self.vals
 
     def kernel_works(self, device: DeviceSpec, k: int = 1) -> list[KernelWork]:
         return [

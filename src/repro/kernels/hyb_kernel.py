@@ -23,12 +23,16 @@ def execute(
     coo_cols: np.ndarray,
     coo_vals: np.ndarray,
     x: np.ndarray,
+    coo: coo_segmented.Triplets | None = None,
 ) -> np.ndarray:
-    """Numerical HYB SpMV: ELL part, then COO accumulation."""
+    """Numerical HYB SpMV: ELL part, then COO accumulation.
+
+    ``coo`` is the overflow as prepared by
+    :func:`~repro.kernels.coo_segmented.prepare`, which callers that
+    multiply repeatedly keep; it is prepared here when omitted.
+    """
     y = ell_kernel.execute(ell_cols, ell_vals, x)
-    return coo_segmented.execute(
-        coo_rows, coo_cols, coo_vals, x, n_rows=y.shape[0], out=y
-    )
+    return _add_overflow(coo_rows, coo_cols, coo_vals, x, y, coo)
 
 
 def execute_many(
@@ -38,6 +42,7 @@ def execute_many(
     coo_cols: np.ndarray,
     coo_vals: np.ndarray,
     X: np.ndarray,
+    coo: coo_segmented.Triplets | None = None,
 ) -> np.ndarray:
     """Batched HYB SpMM: the two component SpMMs in the same order.
 
@@ -46,9 +51,13 @@ def execute_many(
     result first, COO overflow added on top) is unchanged.
     """
     Y = ell_kernel.execute_many(ell_cols, ell_vals, X)
-    return coo_segmented.execute_many(
-        coo_rows, coo_cols, coo_vals, X, n_rows=Y.shape[0], out=Y
-    )
+    return _add_overflow(coo_rows, coo_cols, coo_vals, X, Y, coo)
+
+
+def _add_overflow(rows, cols, vals, x, y, coo):
+    if coo is None:
+        coo = coo_segmented.prepare(rows, cols, vals, (y.shape[0], x.shape[0]))
+    return coo_segmented.apply(coo, x, out=y)
 
 
 def works(
